@@ -11,62 +11,14 @@ correlation.  The package provides the distribution itself
 (``corrbinom fit|simulate|pmf|sample|plot``).
 """
 
-from .boxpct import QuantilePolygon, build_quantile_polygon, render_svg, write_polygon_csv
-from .em import EMConfig, EMResult, FitDegeneracyError, e_step, em_fit, m_step, q_function
-from .gridsearch import GridResult, GridSpec, grid_mle, log_likelihood_grid
-from .model import (
-    CBParams,
-    Dataset,
-    binomial_pmf,
-    cb_pmf,
-    log_binomial_coeff,
-    log_likelihood,
-    pmf_table,
-    sample,
-)
-from .simulate import (
-    ParameterSummary,
-    Scenario,
-    ScenarioReport,
-    bias,
-    child_seed,
-    percentile_interval,
-    rmse,
-    run_scenario,
-)
+from . import boxpct, em, gridsearch, model, simulate
+from .boxpct import *  # noqa: F401,F403 - each module's __all__ is the public API
+from .em import *  # noqa: F401,F403
+from .gridsearch import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CBParams",
-    "Dataset",
-    "EMConfig",
-    "EMResult",
-    "FitDegeneracyError",
-    "GridResult",
-    "GridSpec",
-    "ParameterSummary",
-    "QuantilePolygon",
-    "Scenario",
-    "ScenarioReport",
-    "bias",
-    "binomial_pmf",
-    "build_quantile_polygon",
-    "cb_pmf",
-    "child_seed",
-    "e_step",
-    "em_fit",
-    "grid_mle",
-    "log_binomial_coeff",
-    "log_likelihood",
-    "log_likelihood_grid",
-    "m_step",
-    "percentile_interval",
-    "pmf_table",
-    "q_function",
-    "render_svg",
-    "rmse",
-    "run_scenario",
-    "sample",
-    "write_polygon_csv",
-]
+__all__ = sorted(boxpct.__all__ + em.__all__ + gridsearch.__all__ + model.__all__
+                 + simulate.__all__)

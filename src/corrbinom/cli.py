@@ -21,7 +21,7 @@ from pathlib import Path
 from .boxpct import build_quantile_polygon, render_svg, write_polygon_csv
 from .em import EMConfig, em_fit
 from .gridsearch import GridSpec, grid_mle
-from .model import CBParams, Dataset, cb_pmf, sample
+from .model import CBParams, Dataset, pmf_table, sample
 from .simulate import Scenario, run_scenario
 
 __all__ = ["main"]
@@ -138,13 +138,23 @@ def _read_values(path, convert, label):
     return values
 
 
-def _emit(report: dict, text_lines: list[str], args) -> None:
+def _emit(args, params: dict, seed, results: dict, text_lines: list[str],
+          destination=None) -> None:
+    """Write the report, as the JSON envelope or as text, to ``destination``
+    or, when that is None, to stdout."""
     if args.format == "json":
+        report = {
+            "command": args.command,
+            "schema_version": SCHEMA_VERSION,
+            "params": params,
+            "seed": seed,
+            "results": results,
+        }
         payload = json.dumps(report, indent=2) + "\n"
     else:
         payload = "\n".join(text_lines) + "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
+    if destination:
+        with open(destination, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
         sys.stdout.write(payload)
@@ -199,21 +209,9 @@ def cmd_fit(args) -> int:
             f"oracle_loglik  {grid.log_likelihood:.8f}",
             f"oracle_gap     {result.log_likelihood - grid.log_likelihood:.3e}",
         ]
-    report = {
-        "command": "fit",
-        "schema_version": SCHEMA_VERSION,
-        "params": {
-            "input": str(args.input),
-            "n": args.n,
-            "start_p": args.start_p,
-            "start_rho": args.start_rho,
-            "maxits": args.maxits,
-            "eps": args.eps,
-        },
-        "seed": None,
-        "results": results,
-    }
-    _emit(report, lines, args)
+    params = {"input": str(args.input), "n": args.n, "start_p": args.start_p,
+              "start_rho": args.start_rho, "maxits": args.maxits, "eps": args.eps}
+    _emit(args, params, None, results, lines, args.output)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -230,27 +228,17 @@ def cmd_simulate(args) -> int:
     report = run_scenario(scenario)
 
     def summary_dict(s):
-        return {
-            "truth": s.truth,
-            "bias": s.bias,
-            "rmse": s.rmse,
-            "interval_low": s.interval_low,
-            "interval_high": s.interval_high,
-        }
+        return {key: getattr(s, key)
+                for key in ("truth", "bias", "rmse", "interval_low", "interval_high")}
 
-    payload = {
-        "command": "simulate",
-        "schema_version": SCHEMA_VERSION,
-        "params": {"n": args.n, "p": args.p, "rho": args.rho,
-                   "k": args.k, "reps": args.reps,
-                   "start_p": args.start_p, "start_rho": args.start_rho,
-                   "maxits": args.maxits, "eps": args.eps},
-        "seed": seed,
-        "results": {
-            "p": summary_dict(report.p),
-            "rho": summary_dict(report.rho),
-            "degenerate_count": report.degenerate_count,
-        },
+    params = {"n": args.n, "p": args.p, "rho": args.rho,
+              "k": args.k, "reps": args.reps,
+              "start_p": args.start_p, "start_rho": args.start_rho,
+              "maxits": args.maxits, "eps": args.eps}
+    results = {
+        "p": summary_dict(report.p),
+        "rho": summary_dict(report.rho),
+        "degenerate_count": report.degenerate_count,
     }
     lines = [
         f"seed {seed}",
@@ -261,7 +249,7 @@ def cmd_simulate(args) -> int:
         f"{report.rho.interval_low:<13.7f} {report.rho.interval_high:.7f}",
         f"degenerate_count {report.degenerate_count}",
     ]
-    _emit(payload, lines, args)
+    _emit(args, params, seed, results, lines, args.output)
 
     if args.plot:
         out_dir = Path(args.plot)
@@ -277,19 +265,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_pmf(args) -> int:
     params = CBParams(n=args.n, p=args.p, rho=args.rho)
-    probs = [cb_pmf(y, params) for y in range(args.n + 1)]
+    probs = pmf_table(params).tolist()
     total = sum(probs)
     lines = ["y  probability"]
     lines += [f"{y}  {prob:.12g}" for y, prob in enumerate(probs)]
     lines.append(f"sum  {total:.12g}")
-    payload = {
-        "command": "pmf",
-        "schema_version": SCHEMA_VERSION,
-        "params": {"n": args.n, "p": args.p, "rho": args.rho},
-        "seed": None,
-        "results": {"pmf": probs, "sum": total},
-    }
-    _emit(payload, lines, args)
+    _emit(args, {"n": args.n, "p": args.p, "rho": args.rho}, None,
+          {"pmf": probs, "sum": total}, lines, args.output)
     return EXIT_OK
 
 
@@ -301,19 +283,11 @@ def cmd_sample(args) -> int:
         handle.write(f"# CB(n={args.n}, p={args.p}, rho={args.rho}) "
                      f"k={args.k} seed={seed}\n")
         handle.write("\n".join(str(y) for y in data.observations.tolist()) + "\n")
-    payload = {
-        "command": "sample",
-        "schema_version": SCHEMA_VERSION,
-        "params": {"n": args.n, "p": args.p, "rho": args.rho, "k": args.k,
-                   "output": str(args.output)},
-        "seed": seed,
-        "results": {"count": args.k, "path": str(args.output)},
-    }
-    lines = [f"seed {seed}", f"wrote {args.k} observations to {args.output}"]
-    if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    # --output names the data file, so the report always goes to stdout
+    _emit(args, {"n": args.n, "p": args.p, "rho": args.rho, "k": args.k,
+                 "output": str(args.output)}, seed,
+          {"count": args.k, "path": str(args.output)},
+          [f"seed {seed}", f"wrote {args.k} observations to {args.output}"])
     return EXIT_OK
 
 
@@ -327,19 +301,11 @@ def cmd_plot(args) -> int:
     csv_path = out_dir / f"{name}.csv"
     render_svg([polygon], svg_path)
     write_polygon_csv([polygon], csv_path)
-    payload = {
-        "command": "plot",
-        "schema_version": SCHEMA_VERSION,
-        "params": {"input": str(args.input), "resolution": args.resolution, "name": name},
-        "seed": None,
-        "results": {"svg": str(svg_path), "csv": str(csv_path),
-                    "count": len(estimates), "median": polygon.median},
-    }
-    lines = [f"wrote {svg_path}", f"wrote {csv_path}"]
-    if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    # --output names the figure directory, so the report always goes to stdout
+    _emit(args, {"input": str(args.input), "resolution": args.resolution, "name": name}, None,
+          {"svg": str(svg_path), "csv": str(csv_path),
+           "count": len(estimates), "median": polygon.median},
+          [f"wrote {svg_path}", f"wrote {csv_path}"])
     return EXIT_OK
 
 

@@ -4,9 +4,13 @@ The estimator treats the component membership of each observation as a
 latent indicator.  The E-step computes the posterior probability (the
 responsibility) that an observation came from the two-point component;
 only counts sitting on the boundary set {0, n} can carry a nonzero
-responsibility.  The M-step has closed forms: the new mixture weight is
-the mean responsibility, and the new success probability is a
-responsibility-weighted success fraction.
+responsibility, one value ``tau0`` at 0 and one ``taun`` at n.  The M-step
+has closed forms: the new mixture weight is the mean responsibility, and
+the new success probability is a responsibility-weighted success fraction.
+So a fit reads the data only through :attr:`corrbinom.model.Dataset.stats`,
+one pass is a few scalar operations plus one call of the likelihood kernel
+:func:`corrbinom.model.loglik`, and the per-observation responsibilities
+are expanded once, at the end.
 
 The loop semantics are pinned so fits are exactly reproducible: one
 unconditional update before the loop, an iteration counter that starts at
@@ -26,17 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CBParams, Dataset, cb_pmf, log_binomial_coeff, log_likelihood
+from .model import (CBParams, Dataset, SufficientStats, _log, _log1p, _xlog, boundary_factors,
+                    loglik)
 
-__all__ = [
-    "EMConfig",
-    "EMResult",
-    "FitDegeneracyError",
-    "e_step",
-    "em_fit",
-    "m_step",
-    "q_function",
-]
+__all__ = ["EMConfig", "EMResult", "FitDegeneracyError", "e_step", "em_fit", "m_step",
+           "q_function"]
 
 
 class FitDegeneracyError(RuntimeError):
@@ -87,7 +85,9 @@ class EMResult:
     """Outcome of one EM fit.
 
     ``responsibilities`` are the E-step values that produced the final
-    parameter update, so ``rho_hat`` equals their mean exactly.
+    parameter update, so ``rho_hat`` is their mean, summed as
+    ``count_0 * tau0 + count_n * taun`` (a sequential float sum of the array
+    can differ from that in the last bit).
     ``trajectory`` records ``(p, rho, log_likelihood)`` per update,
     starting with the start values.
     """
@@ -107,6 +107,30 @@ class EMResult:
         return self.converged_p or self.converged_rho
 
 
+def _boundary_responsibilities(data: Dataset, p: float, rho: float) -> tuple[float, float]:
+    """``(tau0, taun)``, or FitDegeneracyError naming the first impossible observation."""
+    stats = data.stats
+    f_0, f_n = boundary_factors(data.n, p, rho)
+    # cb_pmf(0) = (1 - p) f0 and cb_pmf(n) = p fn; for 0 < y < n the PMF is
+    # (1 - rho) * Binomial(y), which vanishes only when rho = 1 or p is 0 or 1.
+    zero_0 = p == 1.0 or f_0 <= 0.0
+    zero_n = p == 0.0 or f_n <= 0.0
+    zero_interior = rho == 1.0 or p == 0.0 or p == 1.0
+    if ((stats.count_0 and zero_0) or (stats.count_n and zero_n)
+            or (stats.interior_count and zero_interior)):
+        obs = data.observations
+        zero = np.where(obs == 0, zero_0, np.where(obs == data.n, zero_n, zero_interior))
+        i = int(np.argmax(zero))
+        raise FitDegeneracyError(f"zero probability for observation {i} (y={obs[i]})",
+                                 observation_index=i)
+    return (rho / f_0 if stats.count_0 else 0.0), (rho / f_n if stats.count_n else 0.0)
+
+
+def _expand(data: Dataset, tau_0: float, tau_n: float) -> np.ndarray:
+    obs = data.observations
+    return np.where(obs == 0, tau_0, np.where(obs == data.n, tau_n, 0.0))
+
+
 def e_step(data: Dataset, params: CBParams) -> np.ndarray:
     """Posterior two-point-component responsibilities, one per observation.
 
@@ -120,31 +144,24 @@ def e_step(data: Dataset, params: CBParams) -> np.ndarray:
     """
     if data.n != params.n:
         raise ValueError(f"dataset n={data.n} does not match params n={params.n}")
-    n, p, rho = params.n, params.p, params.rho
-    # For 0 < y < n the PMF is (1 - rho) * Binomial(y), which vanishes only
-    # when rho = 1 or p is 0 or 1, so no per-observation PMF call is needed.
-    interior_zero = rho == 1.0 or p == 0.0 or p == 1.0
-    prob_at_0 = prob_at_n = None
-    tau = np.zeros(data.k)
-    for i, y in enumerate(data.observations.tolist()):
-        if y == 0:
-            if prob_at_0 is None:
-                prob_at_0 = cb_pmf(0, params)
-            if prob_at_0 <= 0.0:
-                raise FitDegeneracyError(
-                    f"zero probability for observation {i} (y=0)", observation_index=i)
-            tau[i] = rho * (1.0 - p) / prob_at_0
-        elif y == n:
-            if prob_at_n is None:
-                prob_at_n = cb_pmf(n, params)
-            if prob_at_n <= 0.0:
-                raise FitDegeneracyError(
-                    f"zero probability for observation {i} (y={n})", observation_index=i)
-            tau[i] = rho * p / prob_at_n
-        elif interior_zero:
-            raise FitDegeneracyError(
-                f"zero probability for observation {i} (y={y})", observation_index=i)
-    return tau
+    return _expand(data, *_boundary_responsibilities(data, params.p, params.rho))
+
+
+def _binomial_counts(stats: SufficientStats, share_0: float, share_n: float) -> tuple[float, float]:
+    """Expected binomial successes and failures, given the sums ``share_0``
+    of ``tau (n - y) / n`` and ``share_n`` of ``tau y / n``: a two-point
+    count with weight tau counts as one trial instead of n."""
+    n = stats.n
+    return (stats.successes - (n - 1) * share_n,
+            n * stats.k - stats.successes - (n - 1) * share_0)
+
+
+def _shares(data: Dataset, responsibilities) -> tuple[np.ndarray, float, float]:
+    tau = np.asarray(responsibilities, dtype=float)
+    if tau.shape != (data.k,):
+        raise ValueError(f"expected {data.k} responsibilities, got shape {tau.shape}")
+    obs = data.observations
+    return tau, float(tau @ (data.n - obs)) / data.n, float(tau @ obs) / data.n
 
 
 def m_step(data: Dataset, responsibilities: np.ndarray) -> tuple[float, float]:
@@ -156,18 +173,11 @@ def m_step(data: Dataset, responsibilities: np.ndarray) -> tuple[float, float]:
     weighted trial counts (a boundary observation contributes y/n
     successes out of 1 effective trial, a binomial one y out of n).
     """
-    tau = np.asarray(responsibilities, dtype=float)
-    if tau.shape != (data.k,):
-        raise ValueError(f"expected {data.k} responsibilities, got shape {tau.shape}")
+    tau, share_0, share_n = _shares(data, responsibilities)
     if tau.size and (tau.min() < 0.0 or tau.max() > 1.0):
         raise ValueError("responsibilities must lie in [0, 1]")
-    n = data.n
-    successes = trials = total = 0.0
-    for y, t in zip(data.observations.tolist(), tau.tolist()):
-        total += t
-        successes += t * y / n + (1.0 - t) * y
-        trials += t + (1.0 - t) * n
-    return successes / trials, total / data.k
+    successes, failures = _binomial_counts(data.stats, share_0, share_n)
+    return successes / (successes + failures), float(tau.sum()) / data.k
 
 
 def q_function(data: Dataset, responsibilities: np.ndarray, params: CBParams) -> float:
@@ -179,33 +189,26 @@ def q_function(data: Dataset, responsibilities: np.ndarray, params: CBParams) ->
     """
     if data.n != params.n:
         raise ValueError(f"dataset n={data.n} does not match params n={params.n}")
-    tau = np.asarray(responsibilities, dtype=float)
-    if tau.shape != (data.k,):
-        raise ValueError(f"expected {data.k} responsibilities, got shape {tau.shape}")
-    n, p, rho = params.n, params.p, params.rho
-    total = 0.0
-    for y, t in zip(data.observations.tolist(), tau.tolist()):
-        total += _xlogy(t, rho) + _xlogy(1.0 - t, 1.0 - rho)
-        total += _xlogy(t * y / n + (1.0 - t) * y, p)
-        total += _xlogy(t * (n - y) / n + (1.0 - t) * (n - y), 1.0 - p)
-        total += (1.0 - t) * log_binomial_coeff(n, y)
-    return total
-
-
-def _xlogy(coeff: float, value: float) -> float:
-    if coeff == 0.0:
-        return 0.0
-    return coeff * math.log(value) if value > 0.0 else float("-inf")
+    tau, share_0, share_n = _shares(data, responsibilities)
+    stats = data.stats
+    p, rho = params.p, params.rho
+    successes, failures = _binomial_counts(stats, share_0, share_n)
+    total = float(tau.sum())
+    log_coeffs = stats.log_coeffs[np.searchsorted(stats.values, data.observations)]
+    return (_xlog(total, _log(rho)) + _xlog(data.k - total, _log1p(-rho))
+            + _xlog(successes, _log(p)) + _xlog(failures, _log1p(-p))
+            + stats.log_coeff - float(tau @ log_coeffs))
 
 
 def em_fit(data: Dataset, config: EMConfig | None = None) -> EMResult:
     """Fit CB(n, p, rho) to the data by EM.
 
-    Alternates :func:`e_step` and :func:`m_step` from the configured start
-    values: one update before the loop, then passes that stop once either
+    Alternates the E-step and the M-step from the configured start values:
+    one update before the loop, then passes that stop once either
     parameter moves less than ``config.epsilon`` or ``config.max_iterations``
     is reached.  The reported iteration count starts at 1 and increments
-    once per loop pass.
+    once per loop pass.  A pass gives the values of :func:`e_step` plus
+    :func:`m_step` up to float summation order.
 
     Raises
     ------
@@ -215,20 +218,23 @@ def em_fit(data: Dataset, config: EMConfig | None = None) -> EMResult:
     """
     if config is None:
         config = EMConfig()
+    stats = data.stats
     eps = config.epsilon
     p, rho = config.start_p, config.start_rho
 
-    trajectory = [(p, rho, log_likelihood(data, CBParams(data.n, p, rho)))]
+    trajectory = [(p, rho, loglik(stats, p, rho))]
 
     def update(p, rho, iteration):
         try:
-            tau = e_step(data, CBParams(data.n, p, rho))
+            tau = _boundary_responsibilities(data, p, rho)
         except FitDegeneracyError as exc:
             raise FitDegeneracyError(
                 f"iteration {iteration}: {exc}",
                 observation_index=exc.observation_index, iteration=iteration) from exc
-        p_new, rho_new = m_step(data, tau)
-        ll = log_likelihood(data, CBParams(data.n, p_new, rho_new))
+        share_0, share_n = stats.count_0 * tau[0], stats.count_n * tau[1]
+        successes, failures = _binomial_counts(stats, share_0, share_n)
+        p_new, rho_new = successes / (successes + failures), (share_0 + share_n) / stats.k
+        ll = loglik(stats, p_new, rho_new)
         if not math.isfinite(ll):
             raise FitDegeneracyError(
                 f"iteration {iteration}: non-finite log-likelihood", iteration=iteration)
@@ -252,6 +258,6 @@ def em_fit(data: Dataset, config: EMConfig | None = None) -> EMResult:
         converged_p=converged_p,
         converged_rho=converged_rho,
         log_likelihood=ll,
-        responsibilities=tau,
+        responsibilities=_expand(data, *tau),
         trajectory=trajectory,
     )

@@ -1,12 +1,14 @@
 """Brute-force grid maximization of the CB log-likelihood.
 
-This is the slow, independent route to the maximum-likelihood estimate:
-score the whole (p, rho) unit square on a regular grid, then repeatedly
-shrink the window around the incumbent and rescan.  It exists to
-cross-check the EM estimator, which should land on the same maximum.
+This is the slow route to the maximum-likelihood estimate that does not
+iterate: score the whole (p, rho) unit square on a regular grid, then
+repeatedly shrink the window around the incumbent and rescan.  It exists
+to cross-check the EM updates, which should land on the same maximum.
 
-The scan is vectorized over the full grid at once and the reduction to an
-argmax is order-independent: exact ties are broken toward the smallest p,
+The scan runs the package's one likelihood kernel over the full grid at
+once: the data enter through their sufficient statistics, so a scan costs
+a few passes over the grid whatever the data.  The reduction to an argmax
+is order-independent: exact ties are broken toward the smallest p,
 then the smallest rho.
 """
 
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Dataset, log_binomial_coeff
+from .model import Dataset, loglik
 
 __all__ = ["GridResult", "GridSpec", "grid_mle", "log_likelihood_grid"]
 
@@ -53,35 +55,15 @@ class GridResult(NamedTuple):
 def log_likelihood_grid(data: Dataset, p_values: np.ndarray, rho_values: np.ndarray) -> np.ndarray:
     """CB log-likelihood on the outer product of two parameter grids.
 
-    Returns an array of shape ``(len(p_values), len(rho_values))`` that
-    matches ``log_likelihood(data, CBParams(n, p, rho))`` pointwise up to
-    float summation order.  Impossible parameter/data combinations come
-    back as -inf.
+    Returns an array of shape ``(len(p_values), len(rho_values))``: the
+    kernel :func:`corrbinom.model.loglik` on a column of p values and a row
+    of rho values.  Each cell matches ``log_likelihood(data, CBParams(n, p,
+    rho))`` to the last bits, where numpy's log and exp round differently
+    from math's.  Impossible parameter/data combinations come back as -inf.
     """
-    obs = data.observations
-    n = data.n
-    count_0 = int(np.sum(obs == 0))
-    count_n = int(np.sum(obs == n))
-    interior = obs[(obs != 0) & (obs != n)]
-    interior_values, interior_counts = np.unique(interior, return_counts=True)
-
     p = np.asarray(p_values, dtype=float)[:, None]
     rho = np.asarray(rho_values, dtype=float)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(p)
-        log_q = np.log1p(-p)
-        ll = np.zeros((p.shape[0], rho.shape[1]))
-        for y, c in zip(interior_values.tolist(), interior_counts.tolist()):
-            ll = ll + c * (log_binomial_coeff(n, y) + y * log_p + (n - y) * log_q)
-        if interior.size:
-            ll = ll + interior.size * np.log1p(-rho)
-        # Boundary counts: cb_pmf(0) = (1-p) * ((1-rho) (1-p)^(n-1) + rho)
-        # and symmetrically for y = n; np.power keeps 0**0 = 1 at n = 1.
-        if count_0:
-            ll = ll + count_0 * (log_q + np.log((1.0 - rho) * np.power(1.0 - p, n - 1) + rho))
-        if count_n:
-            ll = ll + count_n * (log_p + np.log((1.0 - rho) * np.power(p, n - 1) + rho))
-    return np.where(np.isnan(ll), -np.inf, ll)
+    return loglik(data.stats, p, rho)
 
 
 def _round_best(surface: np.ndarray, ps: np.ndarray, rs: np.ndarray) -> GridResult:

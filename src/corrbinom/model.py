@@ -11,25 +11,23 @@ This module holds the parameter and data containers, the PMF, the
 observed-data log-likelihood, and a seeded sampler.  Everything here is a
 pure function of its inputs (the sampler is pure given its seed), so values
 can be shared freely across threads or processes.
+
+Only a count of 0 or n can come from the two-point component, so the
+likelihood reads a dataset only through its sufficient statistics
+(:attr:`Dataset.stats`).  :func:`loglik`, the one likelihood kernel, runs
+on them for EM, the grid search and :func:`log_likelihood` alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-__all__ = [
-    "CBParams",
-    "Dataset",
-    "binomial_pmf",
-    "cb_pmf",
-    "log_binomial_coeff",
-    "log_likelihood",
-    "pmf_table",
-    "sample",
-]
+__all__ = ["CBParams", "Dataset", "SufficientStats", "binomial_pmf", "boundary_factors", "cb_pmf",
+           "log_binomial_coeff", "log_likelihood", "loglik", "pmf_table", "sample"]
 
 # Per-observation probability floor applied by log_likelihood(clamp=True).
 PROB_FLOOR = 1e-300
@@ -60,6 +58,23 @@ class CBParams:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
+
+
+@dataclass(frozen=True)
+class SufficientStats:
+    """All that the CB likelihood reads from a dataset of k counts."""
+
+    n: int
+    k: int
+    count_0: int            # observations at 0 ...
+    count_n: int            # ... and at n, all the two-point part can make
+    interior_count: int     # observations strictly between 0 and n
+    successes: int          # sum of the observations
+    log_coeff: float        # sum of log C(n, y) (0 at y = 0 and y = n)
+    # distinct counts, ascending, with multiplicities and log C(n, y)
+    values: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    log_coeffs: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -97,34 +112,53 @@ class Dataset:
         """Number of observations."""
         return int(self.observations.size)
 
+    @cached_property
+    def stats(self) -> SufficientStats:
+        """The observations reduced to their sufficient statistics, once."""
+        values, counts = np.unique(self.observations, return_counts=True)
+        log_coeffs = np.array([log_binomial_coeff(self.n, y) for y in values.tolist()])
+        count_0 = int(counts[0]) if values[0] == 0 else 0
+        count_n = int(counts[-1]) if values[-1] == self.n else 0
+        return SufficientStats(self.n, self.k, count_0, count_n, self.k - count_0 - count_n,
+                               int(values @ counts), float(counts @ log_coeffs),
+                               values, counts, log_coeffs)
+
 
 def log_binomial_coeff(n: int, y: int) -> float:
     """log C(n, y) via the log-gamma function; exact enough for n >> 1000."""
     return math.lgamma(n + 1) - math.lgamma(y + 1) - math.lgamma(n - y + 1)
 
 
-def _check_count(y: int, n: int) -> None:
-    if not (isinstance(y, (int, np.integer)) and 0 <= y <= n):
-        raise ValueError(f"count y={y!r} outside [0, {n}]")
+def _pmf_at(params: CBParams, y: np.ndarray, log_coeff: np.ndarray) -> np.ndarray:
+    """CB probabilities at the counts ``y`` (floats), written over ``log_coeff``.
+
+    Every probability is computed here, so cb_pmf and pmf_table agree
+    bitwise.  p = 0 and p = 1 follow 0**0 = 1: a unit binomial mass at 0 or n.
+    """
+    n, p, rho = params.n, params.p, params.rho
+    prob = log_coeff
+    if p == 0.0 or p == 1.0:
+        prob[...] = y == (0 if p == 0.0 else n)
+    else:
+        buf = y * math.log(p)
+        prob += buf
+        np.subtract(n, y, out=buf)
+        buf *= math.log1p(-p)
+        prob += buf
+        # math.exp, not np.exp, which can differ in the last bit: probabilities
+        # and seeded samples stay as they were.  Both give 0 below -746.
+        live = prob > -746.0
+        prob[live] = list(map(math.exp, prob[live].tolist()))
+        prob[~live] = 0.0
+    prob *= 1.0 - rho
+    prob[y == 0] += rho * (1.0 - p)
+    prob[y == n] += rho * p
+    return prob
 
 
 def binomial_pmf(y: int, n: int, p: float) -> float:
-    """Binomial(n, p) probability of exactly y successes.
-
-    Computed in log space so that coefficients stay finite for large n.
-    The degenerate parameter values p = 0 and p = 1 follow the 0**0 = 1
-    convention, giving a unit point mass at 0 or n.
-    """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    _check_count(y, n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if p == 0.0:
-        return 1.0 if y == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if y == n else 0.0
-    return math.exp(log_binomial_coeff(n, y) + y * math.log(p) + (n - y) * math.log1p(-p))
+    """Binomial(n, p) probability of exactly y successes, via log space."""
+    return cb_pmf(y, CBParams(n, p, 0.0))
 
 
 def cb_pmf(y: int, params: CBParams) -> float:
@@ -134,18 +168,76 @@ def cb_pmf(y: int, params: CBParams) -> float:
     two-point component has mass ``1 - p`` at 0 and ``p`` at n (those are
     the y = 0 and y = n values of ``p**(y/n) * (1-p)**((n-y)/n)``).
     """
-    _check_count(y, params.n)
-    prob = (1.0 - params.rho) * binomial_pmf(y, params.n, params.p)
-    if y == 0:
-        prob += params.rho * (1.0 - params.p)
-    elif y == params.n:
-        prob += params.rho * params.p
-    return prob
+    if not (isinstance(y, (int, np.integer)) and 0 <= y <= params.n):
+        raise ValueError(f"count y={y!r} outside [0, {params.n}]")
+    prob = _pmf_at(params, np.array([float(y)]), np.array([log_binomial_coeff(params.n, y)]))
+    return float(prob[0])
 
 
 def pmf_table(params: CBParams) -> np.ndarray:
-    """All CB probabilities for y = 0..n, in order."""
-    return np.array([cb_pmf(y, params) for y in range(params.n + 1)])
+    """All CB probabilities for y = 0..n, in order; equal to cb_pmf bitwise."""
+    n = params.n
+    log_factorial = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    log_coeff = log_factorial[n] - log_factorial
+    log_coeff -= log_factorial[::-1]
+    return _pmf_at(params, np.arange(n + 1, dtype=float), log_coeff)
+
+
+def _xlog(coeff, log_value):
+    # coeff * log(value), with 0 * log(0) taken as 0
+    return coeff * log_value if coeff else 0.0
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log1p(x: float) -> float:
+    return math.log1p(x) if x > -1.0 else -math.inf
+
+
+def boundary_factors(n: int, p: float, rho: float) -> tuple[float, float]:
+    """``(f0, fn) = ((1-rho) (1-p)^(n-1) + rho, (1-rho) p^(n-1) + rho)``.
+
+    So ``cb_pmf(0) = (1 - p) f0`` and ``cb_pmf(n) = p fn``, and the E-step
+    responsibilities are ``rho / f0`` and ``rho / fn``.
+    """
+    return ((1.0 - rho) * math.exp(_xlog(n - 1, _log1p(-p))) + rho,
+            (1.0 - rho) * math.exp(_xlog(n - 1, _log(p))) + rho)
+
+
+def loglik(stats: SufficientStats, p, rho):
+    """Observed-data CB log-likelihood; -inf if an observation is impossible.
+
+    ``p`` and ``rho`` are floats, or numpy arrays that broadcast to a grid.
+    A count 0 < y < n adds ``log(1-rho) + log C(n, y) + y log p + (n-y)
+    log(1-p)``, a count 0 adds ``log(1-p) + log f0`` and a count n ``log p +
+    log fn`` (:func:`boundary_factors`): only the last terms need the full
+    grid, and they are built in place in one scratch buffer.
+    """
+    n, count_0, count_n = stats.n, stats.count_0, stats.count_n
+    exponent_p = stats.successes - (n - 1) * count_n
+    exponent_q = n * stats.k - stats.successes - (n - 1) * count_0
+    if not (isinstance(p, np.ndarray) or isinstance(rho, np.ndarray)):
+        f_0, f_n = boundary_factors(n, p, rho)
+        return (stats.log_coeff + _xlog(exponent_p, _log(p)) + _xlog(exponent_q, _log1p(-p))
+                + _xlog(stats.interior_count, _log1p(-rho))
+                + _xlog(count_0, _log(f_0)) + _xlog(count_n, _log(f_n)))
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(p), np.log1p(-p)
+        m = stats.interior_count
+        # a zero row without interior counts still gives out the full shape
+        out = np.add(stats.log_coeff + _xlog(exponent_p, log_p) + _xlog(exponent_q, log_q),
+                     m * np.log1p(-rho) if m else np.zeros_like(rho))
+        buf = np.empty_like(out)
+        for count, log_edge in ((count_0, log_q), (count_n, log_p)):
+            if count:
+                np.multiply(1.0 - rho, np.exp(_xlog(n - 1, log_edge)), out=buf)
+                buf += rho
+                np.log(buf, out=buf)
+                buf *= count
+                out += buf
+    return out
 
 
 def log_likelihood(data: Dataset, params: CBParams, clamp: bool = False) -> float:
@@ -165,19 +257,18 @@ def log_likelihood(data: Dataset, params: CBParams, clamp: bool = False) -> floa
     Returns
     -------
     float
-        Sum of log CB probabilities over the observations.
+        Sum of log CB probabilities over the observations, from
+        :func:`loglik`.  Interior terms are summed in log space, so a
+        probability too small for a float still scores finitely.
     """
     if data.n != params.n:
         raise ValueError(f"dataset n={data.n} does not match params n={params.n}")
-    total = 0.0
-    for y in data.observations.tolist():
-        prob = cb_pmf(y, params)
-        if clamp and prob < PROB_FLOOR:
-            prob = PROB_FLOOR
-        if prob <= 0.0:
-            return float("-inf")
-        total += math.log(prob)
-    return total
+    stats = data.stats
+    if clamp:
+        probs = _pmf_at(params, stats.values.astype(float), stats.log_coeffs.copy())
+        if probs.min() < PROB_FLOOR:
+            return float(stats.counts @ np.log(np.maximum(probs, PROB_FLOOR)))
+    return loglik(stats, params.p, params.rho)
 
 
 def sample(params: CBParams, k: int, seed: int) -> Dataset:

@@ -275,3 +275,32 @@ class TestSchemaStability:
         first_keys = key_paths(json.loads(first))
         second_keys = key_paths(json.loads(second))
         assert first_keys == second_keys
+
+
+class TestReportDestination:
+    def test_sample_json_report_goes_to_stdout_not_over_counts(self, tmp_path, capsys):
+        out_file = tmp_path / "draws.txt"
+        status, out, _ = run_cli(["sample", "--n", "6", "--p", "0.3", "--rho", "0.4",
+                                  "--k", "12", "--seed", "9", "--output", str(out_file),
+                                  "--format", "json"], capsys)
+        assert status == 0
+        lines = out_file.read_text().splitlines()
+        assert lines[0].startswith("# CB(n=6")
+        assert [int(y) for y in lines[1:]] == sample(CBParams(6, 0.3, 0.4), 12, 9).observations.tolist()
+        report = json.loads(out)
+        assert set(report) == {"command", "schema_version", "params", "seed", "results"}
+        assert report["command"] == "sample"
+        assert report["results"] == {"count": 12, "path": str(out_file)}
+
+    def test_pmf_report_matches_pointwise_table(self, capsys):
+        from corrbinom import cb_pmf
+        params = CBParams(12, 0.37, 0.25)
+        probs = [cb_pmf(y, params) for y in range(13)]
+        _, out, _ = run_cli(["pmf", "--n", "12", "--p", "0.37", "--rho", "0.25",
+                             "--format", "json"], capsys)
+        assert out == json.dumps({"command": "pmf", "schema_version": 1,
+                                  "params": {"n": 12, "p": 0.37, "rho": 0.25}, "seed": None,
+                                  "results": {"pmf": probs, "sum": sum(probs)}}, indent=2) + "\n"
+        _, out, _ = run_cli(["pmf", "--n", "12", "--p", "0.37", "--rho", "0.25"], capsys)
+        assert out.splitlines()[1:] == [f"{y}  {prob:.12g}" for y, prob in enumerate(probs)] \
+            + [f"sum  {sum(probs):.12g}"]
