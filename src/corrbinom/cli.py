@@ -167,11 +167,15 @@ def _pick_seed(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {args.n!r}")
     values = read_observations(args.input)
-    for v in values:
-        if not 0 <= v <= args.n:
-            raise DataFormatError(f"{args.input}: observation {v} outside [0, {args.n}]")
-    data = Dataset(n=args.n, observations=values)
+    try:
+        data = Dataset(n=args.n, observations=values)
+    except ValueError as exc:
+        # with n valid and the values parsed as integers, the one complaint
+        # left is an observation outside [0, n]: a fault of the file
+        raise DataFormatError(f"{args.input}: {exc}") from None
     config = EMConfig(start_p=args.start_p, start_rho=args.start_rho,
                       max_iterations=args.maxits, epsilon=args.eps)
     result = em_fit(data, config)

@@ -5,11 +5,13 @@ iterate: score the whole (p, rho) unit square on a regular grid, then
 repeatedly shrink the window around the incumbent and rescan.  It exists
 to cross-check the EM updates, which should land on the same maximum.
 
-The scan runs the package's one likelihood kernel over the full grid at
-once: the data enter through their sufficient statistics, so a scan costs
-a few passes over the grid whatever the data.  The reduction to an argmax
-is order-independent: exact ties are broken toward the smallest p,
-then the smallest rho.
+Each round runs the package's one likelihood kernel over its grid in
+blocks of whole p-rows, a few tens of thousands of cells each, so that the
+kernel's output and scratch arrays stay in cache and no full surface is
+built.  The data enter through their sufficient statistics, so a scan costs
+a few passes over the grid whatever the data.  Every cell is scored, with
+the same arithmetic as a full-surface scan, and exact ties are broken
+toward the smallest p, then the smallest rho.
 """
 
 from __future__ import annotations
@@ -66,11 +68,27 @@ def log_likelihood_grid(data: Dataset, p_values: np.ndarray, rho_values: np.ndar
     return loglik(data.stats, p, rho)
 
 
-def _round_best(surface: np.ndarray, ps: np.ndarray, rs: np.ndarray) -> GridResult:
-    # np.nonzero lists ties in row-major order, so with ascending grids the
-    # first hit is already the smallest p, then the smallest rho.
-    rows, cols = np.nonzero(surface == surface.max())
-    return GridResult(float(ps[rows[0]]), float(rs[cols[0]]), float(surface[rows[0], cols[0]]))
+# Cells scored per block: about 256 KB per float64 array, so the kernel's
+# output and scratch buffer stay in a core's L2 cache.
+_BLOCK_CELLS = 32_768
+
+
+def _round_best(data: Dataset, ps: np.ndarray, rs: np.ndarray) -> GridResult:
+    """First maximum of the (ps, rs) surface in row-major order, scanned in
+    blocks of whole rows."""
+    rows_per_block = max(1, _BLOCK_CELLS // len(rs))
+    top, top_row, top_col = -np.inf, 0, 0
+    for start in range(0, len(ps), rows_per_block):
+        block = log_likelihood_grid(data, ps[start:start + rows_per_block], rs)
+        block_top = block.max()
+        # Strictly greater: a tie with an earlier block keeps the earlier
+        # cell, and an all -inf surface keeps its first cell.  np.nonzero
+        # lists hits in row-major order, so with ascending grids the first
+        # is the smallest p, then the smallest rho.
+        if block_top > top:
+            rows, cols = np.nonzero(block == block_top)
+            top, top_row, top_col = block_top, start + rows[0], cols[0]
+    return GridResult(float(ps[top_row]), float(rs[top_col]), float(top))
 
 
 def _best_of(a: GridResult, b: GridResult) -> GridResult:
@@ -86,7 +104,9 @@ def grid_mle(data: Dataset, spec: GridSpec | None = None) -> GridResult:
     (endpoints included), then for each refinement round shrinks the
     window by ``spec.refine_shrink`` around the best point so far, clipped
     to the unit square, and rescans.  The best point carries across
-    rounds, so refinement never loses ground.
+    rounds, so refinement never loses ground.  Each round is scored in
+    blocks of whole p-rows through :func:`log_likelihood_grid`; the result
+    is the first maximum in row-major order, as a full-surface scan gives.
     """
     if spec is None:
         spec = GridSpec()
@@ -96,7 +116,7 @@ def grid_mle(data: Dataset, spec: GridSpec | None = None) -> GridResult:
     for _ in range(spec.refine_rounds + 1):
         ps = np.linspace(lo_p, hi_p, spec.coarse_resolution)
         rs = np.linspace(lo_r, hi_r, spec.coarse_resolution)
-        cand = _round_best(log_likelihood_grid(data, ps, rs), ps, rs)
+        cand = _round_best(data, ps, rs)
         best = cand if best is None else _best_of(best, cand)
         half_p = (hi_p - lo_p) * spec.refine_shrink / 2.0
         half_r = (hi_r - lo_r) * spec.refine_shrink / 2.0

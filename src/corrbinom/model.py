@@ -94,6 +94,11 @@ class Dataset:
         obs = np.asarray(self.observations)
         if obs.ndim != 1 or obs.size == 0:
             raise ValueError("observations must be a non-empty 1-d sequence")
+        # Range before the cast, naming the value as given: integers beyond
+        # int64 come in as an object or float array, and are outside [0, n].
+        if obs.dtype.kind in "biufO" and (obs.min() < 0 or obs.max() > self.n):
+            bad = list(self.observations)[int(np.argmax((obs < 0) | (obs > self.n)))]
+            raise ValueError(f"observation {bad} outside [0, {self.n}]")
         if not np.issubdtype(obs.dtype, np.integer):
             as_int = obs.astype(np.int64)
             if not np.array_equal(as_int, obs):
@@ -101,9 +106,6 @@ class Dataset:
             obs = as_int
         else:
             obs = obs.astype(np.int64)
-        if obs.min() < 0 or obs.max() > self.n:
-            bad = obs[(obs < 0) | (obs > self.n)][0]
-            raise ValueError(f"observation {bad} outside [0, {self.n}]")
         obs.flags.writeable = False
         object.__setattr__(self, "observations", obs)
 
@@ -177,10 +179,14 @@ def cb_pmf(y: int, params: CBParams) -> float:
 def pmf_table(params: CBParams) -> np.ndarray:
     """All CB probabilities for y = 0..n, in order; equal to cb_pmf bitwise."""
     n = params.n
+    y = np.arange(n + 1, dtype=float)
+    if params.p == 0.0 or params.p == 1.0:
+        # _pmf_at writes over the coefficients unread; skip the n + 1 lgammas
+        return _pmf_at(params, y, np.empty(n + 1))
     log_factorial = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
     log_coeff = log_factorial[n] - log_factorial
     log_coeff -= log_factorial[::-1]
-    return _pmf_at(params, np.arange(n + 1, dtype=float), log_coeff)
+    return _pmf_at(params, y, log_coeff)
 
 
 def _xlog(coeff, log_value):

@@ -304,3 +304,27 @@ class TestReportDestination:
         _, out, _ = run_cli(["pmf", "--n", "12", "--p", "0.37", "--rho", "0.25"], capsys)
         assert out.splitlines()[1:] == [f"{y}  {prob:.12g}" for y, prob in enumerate(probs)] \
             + [f"sum  {sum(probs):.12g}"]
+
+
+class TestFitInputChecks:
+    @pytest.mark.parametrize("contents", ["0 0 0\n", "0 1 2\n"])
+    def test_n_zero_is_usage_error_whatever_the_data(self, tmp_path, capsys, contents):
+        path = tmp_path / "counts.txt"
+        path.write_text(contents)
+        status, out, err = run_cli(["fit", "--input", str(path), "--n", "0"], capsys)
+        assert status == 1
+        assert out == ""
+        assert err == "corrbinom: error: n must be an integer >= 1, got 0\n"
+
+    @pytest.mark.parametrize("contents, bad", [
+        ("1 9 -3 7\n", "9"),
+        ("# plot counts\n2 -1\n", "-1"),
+        ("3 100000000000000000000000 -5\n", "100000000000000000000000"),
+    ])
+    def test_out_of_range_is_data_error_naming_first_value(self, tmp_path, capsys, contents, bad):
+        path = tmp_path / "counts.txt"
+        path.write_text(contents)
+        status, out, err = run_cli(["fit", "--input", str(path), "--n", "6"], capsys)
+        assert status == 2
+        assert out == ""
+        assert err == f"corrbinom: error: {path}: observation {bad} outside [0, 6]\n"

@@ -209,6 +209,21 @@ class TestPmfTable:
             for y in ys:
                 assert table[y] == cb_pmf(y, params), (n, p, rho, y)
 
+    @pytest.mark.parametrize("n", [1, 9, 1000])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    def test_degenerate_p_bitwise_without_log_factorials(self, monkeypatch, n, p, rho):
+        # at p = 0 or 1 the table is a unit mass at 0 or n plus the mixture
+        # weight; no binomial coefficient is needed, so none is computed
+        params = CBParams(n, p, rho)
+        expected = [cb_pmf(y, params) for y in range(n + 1)]
+
+        def no_lgamma(x):
+            raise AssertionError("pmf_table computed a log-factorial")
+
+        monkeypatch.setattr(math, "lgamma", no_lgamma)
+        assert pmf_table(params).tolist() == expected
+
 
 class TestGrid:
     @pytest.mark.parametrize("name", ["n=1", "all zero", "all n", "interior only", "soybean",
