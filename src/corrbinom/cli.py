@@ -2,9 +2,10 @@
 
 Observation files are plain text integers separated by whitespace and/or
 newlines; a line whose first non-blank character is ``#`` is a comment.
-Estimate files are one real per line under the same comment rule.  JSON
-reports share the envelope {command, schema_version, params, seed,
-results} so downstream tooling can rely on the keys.
+Estimate files are one finite real per line under the same comment rule.
+Input files must be UTF-8 text.  JSON reports share the envelope
+{command, schema_version, params, seed, results} so downstream tooling
+can rely on the keys.
 
 Exit statuses: 0 success/converged, 1 usage error, 2 data error,
 3 fit stopped at the iteration cap.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -116,23 +118,33 @@ def read_observations(path) -> list[int]:
 
 
 def read_estimates(path) -> list[float]:
-    """Reals from an estimates file, one value per whitespace token."""
-    return _read_values(path, float, "a number")
+    """Finite reals from an estimates file, one value per whitespace token."""
+    return _read_values(path, _finite_float, "a finite number")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
 
 
 def _read_values(path, convert, label):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: not UTF-8 text") from None
     values = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            for token in stripped.split():
-                try:
-                    values.append(convert(token))
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: cannot parse {token!r} as {label}") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        for token in stripped.split():
+            try:
+                values.append(convert(token))
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: cannot parse {token!r} as {label}") from None
     if not values:
         raise DataFormatError(f"{path}: no values found")
     return values
@@ -327,10 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DataFormatError as exc:
-        print(f"corrbinom: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"corrbinom: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

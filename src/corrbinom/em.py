@@ -12,15 +12,23 @@ one pass is a few scalar operations plus one call of the likelihood kernel
 :func:`corrbinom.model.loglik`, and the per-observation responsibilities
 are expanded once, at the end.
 
-The loop semantics are pinned so fits are exactly reproducible: one
-unconditional update before the loop, an iteration counter that starts at
-1 and increments once per loop pass, and a stop as soon as either
-parameter moves less than ``epsilon`` between consecutive passes (or the
-iteration cap is reached).  Note the "either" in that rule: on data where
-one parameter stalls early the loop can stop while the other is still
-drifting at a scale far above ``epsilon``.  The mixture weight update has
-an absorbing boundary at zero (once ``rho`` is exactly 0 every later
-update keeps it 0), which is why start values must be strictly interior.
+The loop semantics are pinned so fits are exactly reproducible: one loop
+whose pass is an E-step, an M-step and the log-likelihood of the new
+iterate; an iteration counter that counts the passes; and, from the second
+pass on, a stop as soon as either parameter moves less than ``epsilon``
+between consecutive passes (or the iteration cap is reached).  The first
+update is never tested against the start values.  Note the "either" in
+that rule: on data where one parameter stalls early the loop can stop
+while the other is still drifting at a scale far above ``epsilon``.  The
+mixture weight update has an absorbing boundary at zero (once ``rho`` is
+exactly 0 every later update keeps it 0), which is why start values must
+be strictly interior.
+
+A fit has one degeneracy rule: every iterate must have a finite
+log-likelihood.  It also rules out zero mass, because an iterate that
+gives an observation zero probability has log-likelihood -inf, so no pass
+starts from one.  :func:`e_step`, which takes any parameters, checks for
+zero mass itself and names the first impossible observation.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (CBParams, Dataset, SufficientStats, _log, _log1p, _xlog, boundary_factors,
+from .model import (CBParams, Dataset, _binomial_counts, _log, _log1p, _xlog, boundary_factors,
                     loglik)
 
 __all__ = ["EMConfig", "EMResult", "FitDegeneracyError", "e_step", "em_fit", "m_step",
@@ -38,14 +46,17 @@ __all__ = ["EMConfig", "EMResult", "FitDegeneracyError", "e_step", "em_fit", "m_
 
 
 class FitDegeneracyError(RuntimeError):
-    """A fit reached a state assigning zero probability to an observation.
+    """Parameters give an observation zero probability or a fit a
+    non-finite log-likelihood.
 
     Attributes
     ----------
     observation_index : int or None
-        Position of the offending observation in the dataset.
+        Position of the first offending observation in the dataset; set
+        only by :func:`e_step`.
     iteration : int or None
-        EM iteration at which the degeneracy was detected.
+        EM iteration at which the degeneracy was detected; set only by
+        :func:`em_fit`.
     """
 
     def __init__(self, message: str, *, observation_index: int | None = None,
@@ -107,25 +118,6 @@ class EMResult:
         return self.converged_p or self.converged_rho
 
 
-def _boundary_responsibilities(data: Dataset, p: float, rho: float) -> tuple[float, float]:
-    """``(tau0, taun)``, or FitDegeneracyError naming the first impossible observation."""
-    stats = data.stats
-    f_0, f_n = boundary_factors(data.n, p, rho)
-    # cb_pmf(0) = (1 - p) f0 and cb_pmf(n) = p fn; for 0 < y < n the PMF is
-    # (1 - rho) * Binomial(y), which vanishes only when rho = 1 or p is 0 or 1.
-    zero_0 = p == 1.0 or f_0 <= 0.0
-    zero_n = p == 0.0 or f_n <= 0.0
-    zero_interior = rho == 1.0 or p == 0.0 or p == 1.0
-    if ((stats.count_0 and zero_0) or (stats.count_n and zero_n)
-            or (stats.interior_count and zero_interior)):
-        obs = data.observations
-        zero = np.where(obs == 0, zero_0, np.where(obs == data.n, zero_n, zero_interior))
-        i = int(np.argmax(zero))
-        raise FitDegeneracyError(f"zero probability for observation {i} (y={obs[i]})",
-                                 observation_index=i)
-    return (rho / f_0 if stats.count_0 else 0.0), (rho / f_n if stats.count_n else 0.0)
-
-
 def _expand(data: Dataset, tau_0: float, tau_n: float) -> np.ndarray:
     obs = data.observations
     return np.where(obs == 0, tau_0, np.where(obs == data.n, tau_n, 0.0))
@@ -140,20 +132,26 @@ def e_step(data: Dataset, params: CBParams) -> np.ndarray:
     Raises
     ------
     FitDegeneracyError
-        If the model assigns zero probability to any observation.
+        If the model assigns zero probability to an observation; it names
+        the first such observation.
     """
     if data.n != params.n:
         raise ValueError(f"dataset n={data.n} does not match params n={params.n}")
-    return _expand(data, *_boundary_responsibilities(data, params.p, params.rho))
-
-
-def _binomial_counts(stats: SufficientStats, share_0: float, share_n: float) -> tuple[float, float]:
-    """Expected binomial successes and failures, given the sums ``share_0``
-    of ``tau (n - y) / n`` and ``share_n`` of ``tau y / n``: a two-point
-    count with weight tau counts as one trial instead of n."""
-    n = stats.n
-    return (stats.successes - (n - 1) * share_n,
-            n * stats.k - stats.successes - (n - 1) * share_0)
+    stats, p, rho = data.stats, params.p, params.rho
+    f_0, f_n = boundary_factors(data.n, p, rho)
+    # cb_pmf(0) = (1 - p) f0 and cb_pmf(n) = p fn; for 0 < y < n the PMF is
+    # (1 - rho) * Binomial(y), which vanishes only when rho = 1 or p is 0 or 1.
+    zero_0 = p == 1.0 or f_0 <= 0.0
+    zero_n = p == 0.0 or f_n <= 0.0
+    zero_interior = rho == 1.0 or p == 0.0 or p == 1.0
+    if ((stats.count_0 and zero_0) or (stats.count_n and zero_n)
+            or (stats.interior_count and zero_interior)):
+        obs = data.observations
+        zero = np.where(obs == 0, zero_0, np.where(obs == data.n, zero_n, zero_interior))
+        i = int(np.argmax(zero))
+        raise FitDegeneracyError(f"zero probability for observation {i} (y={obs[i]})",
+                                 observation_index=i)
+    return _expand(data, rho / f_0 if stats.count_0 else 0.0, rho / f_n if stats.count_n else 0.0)
 
 
 def _shares(data: Dataset, responsibilities) -> tuple[np.ndarray, float, float]:
@@ -174,7 +172,7 @@ def m_step(data: Dataset, responsibilities: np.ndarray) -> tuple[float, float]:
     successes out of 1 effective trial, a binomial one y out of n).
     """
     tau, share_0, share_n = _shares(data, responsibilities)
-    if tau.size and (tau.min() < 0.0 or tau.max() > 1.0):
+    if not (0.0 <= tau.min() and tau.max() <= 1.0):
         raise ValueError("responsibilities must lie in [0, 1]")
     successes, failures = _binomial_counts(data.stats, share_0, share_n)
     return successes / (successes + failures), float(tau.sum()) / data.k
@@ -203,52 +201,50 @@ def q_function(data: Dataset, responsibilities: np.ndarray, params: CBParams) ->
 def em_fit(data: Dataset, config: EMConfig | None = None) -> EMResult:
     """Fit CB(n, p, rho) to the data by EM.
 
-    Alternates the E-step and the M-step from the configured start values:
-    one update before the loop, then passes that stop once either
-    parameter moves less than ``config.epsilon`` or ``config.max_iterations``
-    is reached.  The reported iteration count starts at 1 and increments
-    once per loop pass.  A pass gives the values of :func:`e_step` plus
-    :func:`m_step` up to float summation order.
+    One loop alternates the E-step and the M-step from the configured start
+    values.  Each pass computes the boundary responsibilities, the
+    closed-form update and the new iterate's log-likelihood; from the
+    second pass on it stops once either parameter moves less than
+    ``config.epsilon``, and it always stops after ``config.max_iterations``
+    passes.  The first pass is never tested.  The reported iteration count
+    is the number of passes.  A pass gives the values of :func:`e_step`
+    plus :func:`m_step` up to float summation order.
+
+    An iterate is accepted only if its log-likelihood is finite.  That one
+    rule also covers zero mass: an iterate that gives an observation zero
+    probability has log-likelihood -inf (no term can be +inf), and the
+    start values are strictly interior, so every pass starts from
+    parameters that give every observation positive probability.
 
     Raises
     ------
     FitDegeneracyError
-        If any iterate assigns zero probability to an observation or the
-        log-likelihood becomes non-finite; the error carries the iteration.
+        If an iterate's log-likelihood is not finite; the error carries the
+        iteration.
     """
     if config is None:
         config = EMConfig()
     stats = data.stats
-    eps = config.epsilon
     p, rho = config.start_p, config.start_rho
-
     trajectory = [(p, rho, loglik(stats, p, rho))]
-
-    def update(p, rho, iteration):
-        try:
-            tau = _boundary_responsibilities(data, p, rho)
-        except FitDegeneracyError as exc:
-            raise FitDegeneracyError(
-                f"iteration {iteration}: {exc}",
-                observation_index=exc.observation_index, iteration=iteration) from exc
-        share_0, share_n = stats.count_0 * tau[0], stats.count_n * tau[1]
+    iterations = 0
+    converged_p = converged_rho = False
+    while iterations < config.max_iterations and not converged_p and not converged_rho:
+        iterations += 1
+        f_0, f_n = boundary_factors(stats.n, p, rho)
+        tau_0 = rho / f_0 if stats.count_0 else 0.0
+        tau_n = rho / f_n if stats.count_n else 0.0
+        share_0, share_n = stats.count_0 * tau_0, stats.count_n * tau_n
         successes, failures = _binomial_counts(stats, share_0, share_n)
         p_new, rho_new = successes / (successes + failures), (share_0 + share_n) / stats.k
         ll = loglik(stats, p_new, rho_new)
         if not math.isfinite(ll):
             raise FitDegeneracyError(
-                f"iteration {iteration}: non-finite log-likelihood", iteration=iteration)
+                f"iteration {iterations}: non-finite log-likelihood", iteration=iterations)
         trajectory.append((p_new, rho_new, ll))
-        return tau, p_new, rho_new, ll
-
-    tau, p, rho, ll = update(p, rho, 1)
-    iterations = 1
-    converged_p = converged_rho = False
-    while iterations < config.max_iterations and not converged_p and not converged_rho:
-        tau, p_new, rho_new, ll = update(p, rho, iterations + 1)
-        converged_p = abs(p_new - p) < eps
-        converged_rho = abs(rho_new - rho) < eps
-        iterations += 1
+        if iterations > 1:
+            converged_p = abs(p_new - p) < config.epsilon
+            converged_rho = abs(rho_new - rho) < config.epsilon
         p, rho = p_new, rho_new
 
     return EMResult(
@@ -258,6 +254,6 @@ def em_fit(data: Dataset, config: EMConfig | None = None) -> EMResult:
         converged_p=converged_p,
         converged_rho=converged_rho,
         log_likelihood=ll,
-        responsibilities=_expand(data, *tau),
+        responsibilities=_expand(data, tau_0, tau_n),
         trajectory=trajectory,
     )

@@ -212,6 +212,17 @@ def boundary_factors(n: int, p: float, rho: float) -> tuple[float, float]:
             (1.0 - rho) * math.exp(_xlog(n - 1, _log(p))) + rho)
 
 
+def _binomial_counts(stats: SufficientStats, share_0, share_n):
+    """Binomial successes and failures, given the sums ``share_0`` of
+    ``tau (n - y) / n`` and ``share_n`` of ``tau y / n`` over the counts at
+    0 and at n: a count from the two-point part, with weight tau, counts as
+    one trial instead of n.  With every tau = 1 these are the exponents of
+    ``p`` and ``1 - p`` in :func:`loglik`."""
+    n = stats.n
+    return (stats.successes - (n - 1) * share_n,
+            n * stats.k - stats.successes - (n - 1) * share_0)
+
+
 def loglik(stats: SufficientStats, p, rho):
     """Observed-data CB log-likelihood; -inf if an observation is impossible.
 
@@ -222,8 +233,7 @@ def loglik(stats: SufficientStats, p, rho):
     grid, and they are built in place in one scratch buffer.
     """
     n, count_0, count_n = stats.n, stats.count_0, stats.count_n
-    exponent_p = stats.successes - (n - 1) * count_n
-    exponent_q = n * stats.k - stats.successes - (n - 1) * count_0
+    exponent_p, exponent_q = _binomial_counts(stats, count_0, count_n)
     if not (isinstance(p, np.ndarray) or isinstance(rho, np.ndarray)):
         f_0, f_n = boundary_factors(n, p, rho)
         return (stats.log_coeff + _xlog(exponent_p, _log(p)) + _xlog(exponent_q, _log1p(-p))

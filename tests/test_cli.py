@@ -1,4 +1,5 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -79,6 +80,14 @@ class TestFit:
         status, _, err = run_cli(["fit", "--input", str(path), "--n", "6"], capsys)
         assert status == 2
         assert "9" in err
+
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"\xff\xfe3 4\n")
+        status, out, err = run_cli(["fit", "--input", str(path), "--n", "6"], capsys)
+        assert status == 2
+        assert out == ""
+        assert err == f"corrbinom: error: {path}: not UTF-8 text\n"
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         status, _, err = run_cli(["fit", "--input", str(tmp_path / "nope.txt"),
@@ -253,6 +262,30 @@ class TestPlot:
                                   "--output", str(tmp_path)], capsys)
         assert status == 2
         assert "line 2" in err
+
+    def test_non_utf8_estimates_file_is_data_error(self, tmp_path, capsys):
+        est_file = tmp_path / "latin.txt"
+        est_file.write_bytes(b"\xff\xfe3 4\n")
+        status, out, err = run_cli(["plot", "--input", str(est_file),
+                                    "--output", str(tmp_path / "figs")], capsys)
+        assert status == 2
+        assert out == ""
+        assert err == f"corrbinom: error: {est_file}: not UTF-8 text\n"
+        assert not (tmp_path / "figs").exists()
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_estimate_is_data_error(self, tmp_path, capsys, token):
+        est_file = tmp_path / "estimates.txt"
+        est_file.write_text(f"0.5\n0.25\n{token}\n0.75\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out, err = run_cli(["plot", "--input", str(est_file),
+                                        "--output", str(tmp_path / "figs")], capsys)
+        assert status == 2
+        assert out == ""
+        assert err == (f"corrbinom: error: {est_file}: line 3: "
+                       f"cannot parse {token!r} as a finite number\n")
+        assert not (tmp_path / "figs").exists()
 
 
 class TestSchemaStability:

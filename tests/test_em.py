@@ -3,22 +3,28 @@ import math
 import numpy as np
 import pytest
 
+import corrbinom.em
 from corrbinom import (
     CBParams,
     Dataset,
     EMConfig,
+    EMResult,
     FitDegeneracyError,
     GridSpec,
+    boundary_factors,
     cb_pmf,
+    child_seed,
     e_step,
     em_fit,
     grid_mle,
     log_likelihood,
+    loglik,
     m_step,
     q_function,
     sample,
 )
 from conftest import (
+    ACCEPTANCE_SEED,
     GOLDEN_ITERATIONS,
     GOLDEN_LOG_LIKELIHOOD,
     GOLDEN_P_HAT,
@@ -126,6 +132,8 @@ class TestMStep:
             m_step(data, np.array([0.5]))
         with pytest.raises(ValueError):
             m_step(data, np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match="must lie in"):
+            m_step(Dataset(6, [0, 6, 3]), [math.nan, 0.5, 0.0])
 
 
 class TestQFunction:
@@ -262,3 +270,106 @@ class TestEMFit:
             fit = em_fit(data)
             grid = grid_mle(data, spec)
             assert abs(fit.log_likelihood - grid.log_likelihood) <= 1e-6, index
+
+
+def reference_em_fit(data, config=EMConfig()):
+    """em_fit written as an update before the loop, a zero-mass check on
+    every pass and a finite check, on the public boundary_factors and loglik."""
+    stats, n, k = data.stats, data.n, data.k
+    trajectory = [(config.start_p, config.start_rho,
+                   loglik(stats, config.start_p, config.start_rho))]
+
+    def update(p, rho, iteration):
+        f_0, f_n = boundary_factors(n, p, rho)
+        zero_0 = p == 1.0 or f_0 <= 0.0
+        zero_n = p == 0.0 or f_n <= 0.0
+        zero_interior = rho == 1.0 or p == 0.0 or p == 1.0
+        for i, y in enumerate(data.observations.tolist()):
+            if zero_0 if y == 0 else zero_n if y == n else zero_interior:
+                raise FitDegeneracyError(f"iteration {iteration}: zero probability",
+                                         observation_index=i, iteration=iteration)
+        tau_0 = rho / f_0 if stats.count_0 else 0.0
+        tau_n = rho / f_n if stats.count_n else 0.0
+        share_0, share_n = stats.count_0 * tau_0, stats.count_n * tau_n
+        successes = stats.successes - (n - 1) * share_n
+        failures = n * k - stats.successes - (n - 1) * share_0
+        p_new, rho_new = successes / (successes + failures), (share_0 + share_n) / k
+        ll = loglik(stats, p_new, rho_new)
+        if not math.isfinite(ll):
+            raise FitDegeneracyError(f"iteration {iteration}: non-finite log-likelihood",
+                                     iteration=iteration)
+        trajectory.append((p_new, rho_new, ll))
+        return (tau_0, tau_n), p_new, rho_new, ll
+
+    tau, p, rho, ll = update(config.start_p, config.start_rho, 1)
+    iterations = 1
+    converged_p = converged_rho = False
+    while iterations < config.max_iterations and not converged_p and not converged_rho:
+        tau, p_new, rho_new, ll = update(p, rho, iterations + 1)
+        converged_p = abs(p_new - p) < config.epsilon
+        converged_rho = abs(rho_new - rho) < config.epsilon
+        iterations += 1
+        p, rho = p_new, rho_new
+    obs = data.observations
+    responsibilities = np.where(obs == 0, tau[0], np.where(obs == n, tau[1], 0.0))
+    return EMResult(p, rho, iterations, converged_p, converged_rho, ll, responsibilities,
+                    trajectory)
+
+
+def assert_same_fit(result, expected):
+    for name in ("p_hat", "rho_hat", "iterations", "converged_p", "converged_rho",
+                 "log_likelihood", "trajectory"):
+        assert getattr(result, name) == getattr(expected, name), name
+    assert result.responsibilities.dtype == expected.responsibilities.dtype
+    assert np.array_equal(result.responsibilities, expected.responsibilities)
+
+
+class TestEMFitMatchesReferenceLoop:
+    @pytest.mark.parametrize("start", [(0.5, 0.5), (0.5, 0.1), (0.9, 0.03)])
+    def test_soybean(self, soybean, start):
+        config = EMConfig(start_p=start[0], start_rho=start[1])
+        assert_same_fit(em_fit(soybean, config), reference_em_fit(soybean, config))
+
+    @pytest.mark.parametrize("scenario", STUDY_SCENARIOS)
+    def test_acceptance_replications(self, scenario):
+        for r in range(100):
+            data = sample(CBParams(*scenario), 30, child_seed(ACCEPTANCE_SEED, r))
+            assert_same_fit(em_fit(data), reference_em_fit(data))
+
+    def test_replication_at_the_cap(self):
+        data = sample(CBParams(10, 0.2, 0.9), 30, child_seed(ACCEPTANCE_SEED, 769))
+        result = em_fit(data)
+        assert result.iterations == 1000 and not result.converged
+        assert_same_fit(result, reference_em_fit(data))
+
+    @pytest.mark.parametrize("n, observations", [
+        (1, [0, 1, 1, 0, 1]),
+        (6, [0, 0, 0]),
+        (6, [6, 6, 6, 6]),
+        (6, [1, 2, 3, 4, 5]),
+    ], ids=["n_one", "all_zero", "all_n", "interior_only"])
+    def test_edge_datasets(self, n, observations):
+        data = Dataset(n, observations)
+        for start in [(0.5, 0.5), (0.2, 0.9)]:
+            config = EMConfig(start_p=start[0], start_rho=start[1])
+            assert_same_fit(em_fit(data, config), reference_em_fit(data, config))
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3])
+    def test_short_caps(self, soybean, max_iterations):
+        config = EMConfig(start_p=0.5, start_rho=0.1, max_iterations=max_iterations)
+        result = em_fit(soybean, config)
+        assert result.iterations == max_iterations
+        assert_same_fit(result, reference_em_fit(soybean, config))
+
+    def test_non_finite_loglik_raises_with_iteration(self, soybean, monkeypatch):
+        calls = []
+
+        def nan_on_third_call(stats, p, rho):
+            calls.append((p, rho))
+            return math.nan if len(calls) == 3 else loglik(stats, p, rho)
+
+        monkeypatch.setattr(corrbinom.em, "loglik", nan_on_third_call)
+        with pytest.raises(FitDegeneracyError) as info:
+            em_fit(soybean)
+        assert info.value.iteration == 2
+        assert info.value.observation_index is None
