@@ -174,6 +174,8 @@ def _emit(args, params: dict, seed, results: dict, text_lines: list[str],
 
 def _pick_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
         return args.seed
     return int.from_bytes(os.urandom(8), "big") >> 1
 

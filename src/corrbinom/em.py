@@ -10,7 +10,9 @@ the new success probability is a responsibility-weighted success fraction.
 So a fit reads the data only through :attr:`corrbinom.model.Dataset.stats`,
 one pass is a few scalar operations plus one call of the likelihood kernel
 :func:`corrbinom.model.loglik`, and the per-observation responsibilities
-are expanded once, at the end.
+are expanded once, at the end.  The pass arithmetic is written once and
+takes floats or arrays: :func:`corrbinom.simulate.run_scenario` runs it
+on all replications of a study at once.
 
 The loop semantics are pinned so fits are exactly reproducible: one loop
 whose pass is an E-step, an M-step and the log-likelihood of the new
@@ -198,6 +200,35 @@ def q_function(data: Dataset, responsibilities: np.ndarray, params: CBParams) ->
             + stats.log_coeff - float(tau @ log_coeffs))
 
 
+def _em_pass(stats, rho, f_0, f_n):
+    """One EM pass from an iterate with mixture weight ``rho`` and boundary
+    factors ``(f_0, f_n)``: returns ``(p, rho, tau0, taun)``, the closed-form
+    update and the boundary responsibilities that produced it.
+
+    ``stats`` is a :class:`~corrbinom.model.SufficientStats` with floats
+    for the rest, or carries one array entry per fit in ``count_0``,
+    ``count_n`` and ``successes`` with arrays for the rest.  The arithmetic
+    is the same ``+ - * /`` either way, and numpy rounds it as Python does,
+    so each fit gets bitwise the float pass.
+    """
+    count_0, count_n = stats.count_0, stats.count_n
+    # a responsibility is 0 where the data has no such count (f may be 0 there)
+    if isinstance(rho, np.ndarray):
+        tau_0 = np.divide(rho, f_0, out=np.zeros_like(f_0), where=count_0 > 0)
+        tau_n = np.divide(rho, f_n, out=np.zeros_like(f_n), where=count_n > 0)
+    else:
+        tau_0 = rho / f_0 if count_0 else 0.0
+        tau_n = rho / f_n if count_n else 0.0
+    share_0, share_n = count_0 * tau_0, count_n * tau_n
+    successes, failures = _binomial_counts(stats, share_0, share_n)
+    return successes / (successes + failures), (share_0 + share_n) / stats.k, tau_0, tau_n
+
+
+def _nonfinite_loglik(iteration: int) -> FitDegeneracyError:
+    return FitDegeneracyError(f"iteration {iteration}: non-finite log-likelihood",
+                              iteration=iteration)
+
+
 def em_fit(data: Dataset, config: EMConfig | None = None) -> EMResult:
     """Fit CB(n, p, rho) to the data by EM.
 
@@ -232,15 +263,10 @@ def em_fit(data: Dataset, config: EMConfig | None = None) -> EMResult:
     while iterations < config.max_iterations and not converged_p and not converged_rho:
         iterations += 1
         f_0, f_n = boundary_factors(stats.n, p, rho)
-        tau_0 = rho / f_0 if stats.count_0 else 0.0
-        tau_n = rho / f_n if stats.count_n else 0.0
-        share_0, share_n = stats.count_0 * tau_0, stats.count_n * tau_n
-        successes, failures = _binomial_counts(stats, share_0, share_n)
-        p_new, rho_new = successes / (successes + failures), (share_0 + share_n) / stats.k
+        p_new, rho_new, tau_0, tau_n = _em_pass(stats, rho, f_0, f_n)
         ll = loglik(stats, p_new, rho_new)
         if not math.isfinite(ll):
-            raise FitDegeneracyError(
-                f"iteration {iterations}: non-finite log-likelihood", iteration=iterations)
+            raise _nonfinite_loglik(iterations)
         trajectory.append((p_new, rho_new, ll))
         if iterations > 1:
             converged_p = abs(p_new - p) < config.epsilon

@@ -256,6 +256,23 @@ def loglik(stats: SufficientStats, p, rho):
     return out
 
 
+def _finite_loglik(stats, p: np.ndarray, rho: np.ndarray, f_0: np.ndarray,
+                   f_n: np.ndarray) -> np.ndarray:
+    """Per fit, ``math.isfinite(loglik(stats_i, p_i, rho_i))``, where the
+    fields of ``stats`` and the other arguments are arrays with one entry
+    per fit and (f_0, f_n) are the boundary factors.  loglik sums
+    non-negative counts times logs plus a finite constant, and no term is
+    +inf, so it is finite exactly where every log with a positive count
+    has its argument in that log's domain (its sum is far too small to
+    overflow)."""
+    count_0, count_n = stats.count_0, stats.count_n
+    exponent_p, exponent_q = _binomial_counts(stats, count_0, count_n)
+    interior = stats.k - count_0 - count_n
+    return (((exponent_p == 0) | (p > 0.0)) & ((exponent_q == 0) | (p < 1.0))
+            & ((interior == 0) | (rho < 1.0))
+            & ((count_0 == 0) | (f_0 > 0.0)) & ((count_n == 0) | (f_n > 0.0)))
+
+
 def log_likelihood(data: Dataset, params: CBParams, clamp: bool = False) -> float:
     """Observed-data log-likelihood of the CB parameters.
 
@@ -298,8 +315,13 @@ def sample(params: CBParams, k: int, seed: int) -> Dataset:
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     rng = np.random.default_rng(seed)
-    cdf = np.cumsum(pmf_table(params))
-    draws = np.searchsorted(cdf, rng.random(k), side="right")
+    return Dataset(n=params.n, observations=_draws(np.cumsum(pmf_table(params)), rng.random(k)))
+
+
+def _draws(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF transform of uniform variates (any shape) into counts
+    0..n, given the cumulative table of the n + 1 probabilities."""
+    draws = np.searchsorted(cdf, uniforms, side="right")
     # cumsum can round the final CDF value a hair below 1.0
-    np.minimum(draws, params.n, out=draws)
-    return Dataset(n=params.n, observations=draws)
+    np.minimum(draws, cdf.size - 1, out=draws)
+    return draws

@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from corrbinom import CBParams, Dataset, binomial_pmf, child_seed, em_fit, percentile_interval, sample
+from corrbinom import (CBParams, Dataset, EMConfig, FitDegeneracyError, binomial_pmf, bias,
+                       child_seed, em_fit, percentile_interval, rmse, sample)
 from corrbinom.cli import main
 from conftest import GOLDEN_ITERATIONS, GOLDEN_P_HAT, GOLDEN_RHO_HAT, SOYBEAN_COUNTS
 
@@ -361,3 +362,64 @@ class TestFitInputChecks:
         assert status == 2
         assert out == ""
         assert err == f"corrbinom: error: {path}: observation {bad} outside [0, 6]\n"
+
+
+class TestSeedOption:
+    SIMULATE = ["simulate", "--n", "10", "--p", "0.5", "--rho", "0.8", "--k", "30", "--reps", "5"]
+
+    def sample_args(self, tmp_path):
+        return ["sample", "--n", "10", "--p", "0.5", "--rho", "0.8", "--k", "5",
+                "--output", str(tmp_path / "draws.txt")]
+
+    def test_negative_seed_is_usage_error_naming_the_option(self, tmp_path, capsys):
+        for args in (self.SIMULATE, self.sample_args(tmp_path)):
+            status, out, err = run_cli(args + ["--seed", "-1"], capsys)
+            assert status == 1
+            assert out == ""
+            assert err == "corrbinom: error: --seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "draws.txt").exists()
+
+    def test_fractional_seed_is_usage_error_naming_the_option(self, tmp_path, capsys):
+        for args in (self.SIMULATE, self.sample_args(tmp_path)):
+            with pytest.raises(SystemExit) as info:
+                main(args + ["--seed", "1.5"])
+            assert info.value.code == 1
+            assert "argument --seed: invalid int value: '1.5'" in capsys.readouterr().err
+
+    def test_seed_zero_is_accepted(self, tmp_path, capsys):
+        for args in (self.SIMULATE, self.sample_args(tmp_path)):
+            status, _, _ = run_cli(args + ["--seed", "0"], capsys)
+            assert status == 0
+
+
+class TestSimulateMatchesPerReplicationFits:
+    @pytest.mark.parametrize("n, p, rho, k, reps, seed, extra, config", [
+        (10, 0.5, 0.8, 30, 40, 31, [], EMConfig()),
+        (20, 0.2, 0.9, 30, 40, 32, [], EMConfig()),
+        (10, 0.5, 0.8, 30, 20, 33, ["--maxits", "2"], EMConfig(max_iterations=2)),
+        (1, 0.4, 0.3, 12, 25, 34, ["--start-p", "1e-12", "--start-rho", "0.999999999999"],
+         EMConfig(start_p=1e-12, start_rho=0.999999999999)),
+    ])
+    def test_json_results_equal_reference(self, capsys, n, p, rho, k, reps, seed, extra, config):
+        args = ["simulate", "--n", str(n), "--p", str(p), "--rho", str(rho), "--k", str(k),
+                "--reps", str(reps), "--seed", str(seed), "--format", "json"] + extra
+        status, out, _ = run_cli(args, capsys)
+        assert status == 0
+        estimates = {"p": [], "rho": []}
+        degenerate = 0
+        for r in range(reps):
+            try:
+                fit = em_fit(sample(CBParams(n, p, rho), k, child_seed(seed, r)), config)
+            except FitDegeneracyError:
+                degenerate += 1
+                continue
+            degenerate += not fit.converged
+            estimates["p"].append(fit.p_hat)
+            estimates["rho"].append(fit.rho_hat)
+        expected = {"degenerate_count": degenerate}
+        for name, truth in (("p", p), ("rho", rho)):
+            low, high = percentile_interval(estimates[name], 0.95)
+            expected[name] = {"truth": truth, "bias": bias(estimates[name], truth),
+                              "rmse": rmse(estimates[name], truth),
+                              "interval_low": low, "interval_high": high}
+        assert json.loads(out)["results"] == expected

@@ -3,18 +3,24 @@ import math
 import numpy as np
 import pytest
 
+import corrbinom.simulate
 from corrbinom import (
     CBParams,
+    Dataset,
     EMConfig,
+    FitDegeneracyError,
     Scenario,
     bias,
     child_seed,
     em_fit,
+    loglik,
     percentile_interval,
     rmse,
     run_scenario,
     sample,
 )
+from corrbinom.model import _finite_loglik, boundary_factors
+from conftest import ACCEPTANCE_SEED, STUDY_SCENARIOS
 
 
 class TestBias:
@@ -161,3 +167,194 @@ class TestRunScenario:
     def test_em_config_defaults_to_half_half(self):
         scenario = small_scenario()
         assert scenario.em_config == EMConfig()
+
+
+def reference_study(scenario):
+    """The study written replication by replication: sample + em_fit each,
+    a failed fit counted and skipped, the last error raised if all fail."""
+    p_hats, rho_hats = [], []
+    degenerate = failures = 0
+    last_error = None
+    for r in range(scenario.replications):
+        data = sample(scenario.params, scenario.sample_size, child_seed(scenario.seed, r))
+        try:
+            result = em_fit(data, scenario.em_config)
+        except FitDegeneracyError as exc:
+            degenerate += 1
+            failures += 1
+            last_error = exc
+            continue
+        if not result.converged:
+            degenerate += 1
+        p_hats.append(result.p_hat)
+        rho_hats.append(result.rho_hat)
+    if failures == scenario.replications:
+        raise FitDegeneracyError(
+            f"all {scenario.replications} replications failed: {last_error}") from last_error
+    return p_hats, rho_hats, degenerate
+
+
+def assert_matches_reference(scenario):
+    p_hats, rho_hats, degenerate = reference_study(scenario)
+    report = run_scenario(scenario)
+    for summary, estimates in ((report.p, p_hats), (report.rho, rho_hats)):
+        assert summary.estimates.tobytes() == np.array(estimates).tobytes()
+        assert summary.bias == bias(estimates, summary.truth)
+        assert summary.rmse == rmse(estimates, summary.truth)
+        assert (summary.interval_low, summary.interval_high) == \
+            percentile_interval(estimates, 0.95)
+    assert report.degenerate_count == degenerate
+    return report
+
+
+EDGE_SCENARIOS = (
+    [Scenario(CBParams(n, 0.3, 0.6), 30, 40, 5) for n in (1, 2, 2000)]
+    + [Scenario(CBParams(n, 0.4, rho), 30, 40, 6) for n in (1, 10, 2000) for rho in (0.0, 1.0)]
+    + [Scenario(CBParams(n, p, 0.5), 30, 40, 7) for n in (1, 10, 2000)
+       for p in (0.0, 0.001, 0.999, 1.0)]
+    + [Scenario(CBParams(n, p, rho), 1, 60, 8) for n, p, rho in STUDY_SCENARIOS + [(1, .5, .5)]]
+    + [Scenario(CBParams(10, 0.5, 0.8), 30, 40, 9, EMConfig(max_iterations=cap))
+       for cap in (1, 2, 3)]
+    + [Scenario(CBParams(n, p, rho), 30, 40, 10, EMConfig(start_p=start_p, start_rho=start_rho))
+       for n, p, rho in STUDY_SCENARIOS + [(1, .5, .5), (2000, .3, .2)]
+       for start_p, start_rho in ((1e-12, 1 - 1e-12), (1 - 1e-12, 1e-12))]
+)
+
+
+class TestLockstepMatchesPerReplicationFits:
+    """run_scenario fits every replication at once; each report must be
+    bitwise the one a replication-by-replication loop gives."""
+
+    @pytest.mark.parametrize("seed", [ACCEPTANCE_SEED, 4242])
+    @pytest.mark.parametrize("n, p, rho", STUDY_SCENARIOS)
+    def test_study_scenarios(self, n, p, rho, seed):
+        assert_matches_reference(Scenario(CBParams(n, p, rho), 30, 50, seed))
+
+    def test_acceptance_study(self):
+        for n, p, rho in STUDY_SCENARIOS:
+            assert_matches_reference(Scenario(CBParams(n, p, rho), 30, 1000, ACCEPTANCE_SEED))
+
+    def test_replication_at_the_cap(self):
+        # replication 769 of (10, .2, .9) crawls to the 1000-pass cap
+        scenario = Scenario(CBParams(10, 0.2, 0.9), 30, 770, ACCEPTANCE_SEED)
+        data = sample(scenario.params, 30, child_seed(ACCEPTANCE_SEED, 769))
+        assert not em_fit(data).converged
+        report = assert_matches_reference(scenario)
+        assert report.degenerate_count == 1
+        assert report.p.estimates.size == 770
+
+    @pytest.mark.parametrize("scenario", EDGE_SCENARIOS, ids=repr)
+    def test_edge_scenarios(self, scenario):
+        assert_matches_reference(scenario)
+
+    @pytest.mark.parametrize("cells", [1, 30, 7 * 30, 10_000])
+    def test_sampling_blocks(self, monkeypatch, cells):
+        # one replication per block, blocks that do not divide the count, one block
+        monkeypatch.setattr(corrbinom.simulate, "_BLOCK_CELLS", cells)
+        assert_matches_reference(Scenario(CBParams(10, 0.5, 0.8), 30, 45, 11))
+
+
+def fail_lanes(monkeypatch, fail_pass):
+    """Make run_scenario's finiteness check fail replication r at pass
+    fail_pass(r) (None: never)."""
+    real = corrbinom.simulate._finite_loglik
+    passes = []
+
+    def finite(lanes, *args):
+        passes.append(None)
+        chosen = [fail_pass(r) == len(passes) for r in lanes.index.tolist()]
+        return real(lanes, *args) & ~np.array(chosen, dtype=bool)
+
+    monkeypatch.setattr(corrbinom.simulate, "_finite_loglik", finite)
+
+
+class TestFailedReplications:
+    def test_failed_lanes_are_counted_and_skipped(self, monkeypatch):
+        scenario = small_scenario(replications=12)
+        p_hats, rho_hats, degenerate = reference_study(scenario)
+        failing = {3: 1, 7: 2, 8: 1, 11: 2}
+        fail_lanes(monkeypatch, failing.get)
+        report = run_scenario(scenario)
+        kept = [r for r in range(12) if r not in failing]
+        assert report.p.estimates.tobytes() == np.array([p_hats[r] for r in kept]).tobytes()
+        assert report.rho.estimates.tobytes() == np.array([rho_hats[r] for r in kept]).tobytes()
+        assert report.degenerate_count == degenerate + len(failing)
+        assert report.p.bias == bias([p_hats[r] for r in kept], 0.5)
+
+    def test_failure_beats_convergence_in_the_same_pass(self, monkeypatch):
+        # em_fit tests the log-likelihood before the stop rule
+        scenario = small_scenario(replications=6)
+        fits = [em_fit(sample(scenario.params, 30, child_seed(scenario.seed, r)))
+                for r in range(6)]
+        fail_lanes(monkeypatch, lambda r: fits[r].iterations if r == 2 else None)
+        report = run_scenario(scenario)
+        assert report.p.estimates.tolist() == [fit.p_hat for r, fit in enumerate(fits) if r != 2]
+        assert report.degenerate_count == 1
+
+    def test_all_failing_raises_chained_to_the_last_replication(self, monkeypatch):
+        # the last replication fails first, so "last" means by replication
+        # number, not by the order of failure
+        fail_lanes(monkeypatch, lambda r: 1 if r == 4 else 3)
+        with pytest.raises(FitDegeneracyError) as info:
+            run_scenario(small_scenario(replications=5))
+        assert str(info.value) == \
+            "all 5 replications failed: iteration 1: non-finite log-likelihood"
+        cause = info.value.__cause__
+        assert isinstance(cause, FitDegeneracyError)
+        assert cause.iteration == 1
+        assert str(cause) == "iteration 1: non-finite log-likelihood"
+
+    def test_one_survivor_is_enough(self, monkeypatch):
+        fail_lanes(monkeypatch, lambda r: None if r == 2 else 1)
+        report = run_scenario(small_scenario(replications=4))
+        assert report.p.estimates.size == 1
+        assert report.degenerate_count == 3
+
+
+class TestFiniteCheck:
+    """The lockstep's finiteness test is math.isfinite(loglik) per lane."""
+
+    @staticmethod
+    def lanes_of(datasets):
+        stats = [data.stats for data in datasets]
+        return corrbinom.simulate._Lanes(
+            stats[0].n, stats[0].k, np.arange(len(stats)),
+            *(np.array([getattr(s, name) for s in stats])
+              for name in ("count_0", "count_n", "successes")))
+
+    @pytest.mark.parametrize("counts", [
+        [0, 0, 0], [4, 4, 4], [0, 4, 4], [1, 2, 3], [0, 2, 4], [0, 1, 1], [3, 4, 4], [0, 0, 4],
+    ])
+    def test_matches_loglik(self, counts):
+        n = 4
+        values = [0.0, 1e-300, 1e-12, 0.25, 0.5, 1 - 1e-12, 1.0]
+        grid = [(p, rho) for p in values for rho in values]
+        datasets = [Dataset(n, counts)] * len(grid)
+        p = np.array([pair[0] for pair in grid])
+        rho = np.array([pair[1] for pair in grid])
+        factors = np.array([boundary_factors(n, *pair) for pair in grid]).T
+        finite = _finite_loglik(self.lanes_of(datasets), p, rho, *factors)
+        expected = [math.isfinite(loglik(datasets[0].stats, *pair)) for pair in grid]
+        assert finite.tolist() == expected
+
+    def test_matches_loglik_on_one_trial_and_huge_n(self):
+        for n, counts in ((1, [0, 1, 1]), (1, [1, 1]), (2000, [0, 1000, 2000]), (2000, [7, 9])):
+            for p in (0.0, 1e-300, 0.5, 1.0):
+                for rho in (0.0, 0.5, 1.0):
+                    data = Dataset(n, counts)
+                    f_0, f_n = boundary_factors(n, p, rho)
+                    finite = _finite_loglik(self.lanes_of([data]), np.array([p]),
+                                            np.array([rho]), np.array([f_0]), np.array([f_n]))
+                    assert finite.tolist() == [math.isfinite(loglik(data.stats, p, rho))]
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            Scenario(params=CBParams(10, 0.5, 0.5), sample_size=30, replications=5, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.uint64(2**64 - 1), 2**70])
+    def test_large_and_zero_seeds_run(self, seed):
+        report = run_scenario(Scenario(CBParams(10, 0.5, 0.5), 30, 3, seed))
+        assert report.p.estimates.size == 3
